@@ -313,8 +313,8 @@ func printStats(algo string, n, d int, res *dbsvec.Result, elapsed time.Duration
 			p.Init.Round(time.Microsecond), p.Expand.Round(time.Microsecond), p.Verify.Round(time.Microsecond))
 	}
 	if s := res.Stats.SVDD; s.Total() > 0 {
-		fmt.Fprintf(os.Stderr, "svddFill=%s svddSolve=%s svddFinish=%s\n",
-			s.Fill.Round(time.Microsecond), s.Solve.Round(time.Microsecond), s.Finish.Round(time.Microsecond))
+		fmt.Fprintf(os.Stderr, "svddFill=%s svddSolve=%s svddFinish=%s svddKernelEntries=%d\n",
+			s.Fill.Round(time.Microsecond), s.Solve.Round(time.Microsecond), s.Finish.Round(time.Microsecond), s.KernelEntries)
 	}
 	if sh := res.Stats.Sharding; sh != nil {
 		fmt.Fprintf(os.Stderr, "shards=%d axis=%d boundaryPoints=%d crossMerges=%d plan=%s shardMerge=%s peakHeapBytes=%d\n",

@@ -861,7 +861,6 @@ func (r *runner) trainSVDD(ids []int32, prev *svdd.Model) (*svdd.Model, error) {
 	cfg := svdd.Config{
 		Dim:     r.ds.Dim(),
 		MinPts:  r.opts.MinPts,
-		Workers: r.eng.Workers(),
 		Context: r.ctx,
 	}
 	if !r.opts.DisableWarmStart {

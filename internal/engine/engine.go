@@ -145,18 +145,21 @@ func (p PhaseTimes) Total() time.Duration { return p.Init + p.Expand + p.Verify 
 // accumulated across every training round of a run: Fill covers the kernel
 // matrix construction (including the adaptive-weight pass), Solve the SMO
 // optimization, Finish the radius/score extraction. Like PhaseTimes it is
-// wall-clock and must be ignored by determinism comparisons. Rounds and
-// NotConverged are deterministic counters riding along: Rounds counts the
-// trainings accumulated, NotConverged the subset that exhausted MaxIter
-// before reaching the KKT tolerance (previously indistinguishable from
-// converged models — see svdd.ErrNotConverged).
+// wall-clock and must be ignored by determinism comparisons. Rounds,
+// NotConverged and KernelEntries are deterministic counters riding along:
+// Rounds counts the trainings accumulated, NotConverged the subset that
+// exhausted MaxIter before reaching the KKT tolerance (previously
+// indistinguishable from converged models — see svdd.ErrNotConverged), and
+// KernelEntries the Gaussian kernel entries evaluated, which is the same for
+// every worker count.
 type SVDDTimes struct {
 	Fill   time.Duration
 	Solve  time.Duration
 	Finish time.Duration
 
-	Rounds       int
-	NotConverged int
+	Rounds        int
+	NotConverged  int
+	KernelEntries int64
 }
 
 // Total is the summed training wall-clock.
@@ -169,6 +172,7 @@ func (s *SVDDTimes) Add(o SVDDTimes) {
 	s.Finish += o.Finish
 	s.Rounds += o.Rounds
 	s.NotConverged += o.NotConverged
+	s.KernelEntries += o.KernelEntries
 }
 
 // Stopwatch accumulates phase wall-clock with the pattern

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"dbsvec/internal/data"
-	"dbsvec/internal/engine"
 	"dbsvec/internal/svdd"
 	"dbsvec/internal/vec"
 )
@@ -15,12 +14,11 @@ import (
 // SVDD training fast-path micro-benchmark. Unlike the figure experiments it
 // measures one component (svdd.Train) in isolation, at the paper's default
 // maximum target size ñ = 1024's historical half (ñ = 512, d = 8), so the
-// three fast-path layers — parallel kernel fill, shrinking SMO and
-// warm-started incremental rounds — can be attributed individually.
+// fast-path layers — shrinking SMO, float32 storage and warm-started
+// incremental rounds — can be attributed individually.
 
-// svddBenchN and svddBenchD pin the benchmark shape; the acceptance target
-// for the fast path (≥2x vs the serial baseline at 8 workers) is recorded
-// against exactly this shape in internal/svdd/README.md.
+// svddBenchN and svddBenchD pin the benchmark shape recorded in
+// internal/svdd/README.md.
 const (
 	svddBenchN = 512
 	svddBenchD = 8
@@ -28,16 +26,13 @@ const (
 
 // SVDDBenchVariant is one solver configuration's accumulated timings.
 type SVDDBenchVariant struct {
-	// Name identifies the configuration: "serial" (workers=1, no
-	// shrinking — the pre-fast-path baseline), "parallel-fill",
-	// "parallel+shrink", the float32-storage "parallel+shrink-f32", and the
-	// incremental pair "incremental-cold" / "incremental-warm".
+	// Name identifies the configuration: "serial" (no shrinking — the
+	// pre-fast-path baseline), "shrink", the float32-storage "shrink-f32",
+	// and the incremental pair "incremental-cold" / "incremental-warm".
 	Name string `json:"name"`
 	// Precision is the dataset storage mode the variant trained on
 	// ("f64"/"f32"); only the -f32 variant uses float32 storage.
 	Precision string `json:"precision"`
-	// Workers is the kernel-fill worker count used.
-	Workers int `json:"workers"`
 	// Shrink and WarmStart record which fast-path layers were active.
 	Shrink    bool `json:"shrink"`
 	WarmStart bool `json:"warm_start"`
@@ -45,6 +40,8 @@ type SVDDBenchVariant struct {
 	Rounds int `json:"rounds"`
 	// Iterations is the total SMO pair updates across all rounds.
 	Iterations int `json:"smo_iterations"`
+	// KernelEntries is the total kernel entries evaluated across all rounds.
+	KernelEntries int64 `json:"kernel_entries"`
 	// Per-stage wall clock summed over all rounds, in nanoseconds.
 	FillNs   int64 `json:"fill_ns"`
 	SolveNs  int64 `json:"solve_ns"`
@@ -52,7 +49,7 @@ type SVDDBenchVariant struct {
 	TotalNs  int64 `json:"total_ns"`
 	// Speedup is TotalNs of this variant's baseline divided by its own:
 	// the serial variant for the fixed-target configurations, the f64
-	// parallel+shrink variant for the f32 one, and the cold incremental
+	// shrink variant for the f32 one, and the cold incremental
 	// variant for the warm one. 1.0 for the baselines themselves.
 	Speedup float64 `json:"speedup_vs_baseline"`
 }
@@ -72,6 +69,7 @@ type SVDDBenchReport struct {
 func (v *SVDDBenchVariant) accumulate(m *svdd.Model) {
 	v.Rounds++
 	v.Iterations += m.Iterations
+	v.KernelEntries += m.Times.KernelEntries
 	v.FillNs += m.Times.Fill.Nanoseconds()
 	v.SolveNs += m.Times.Solve.Nanoseconds()
 	v.FinishNs += m.Times.Finish.Nanoseconds()
@@ -90,14 +88,14 @@ func svddBenchConfig(n int) svdd.Config {
 	}
 }
 
-// RunSVDDBench executes the micro-benchmark and returns the report. Workers
-// comes from cfg (0 = all CPUs); repeats scale with cfg.Quick.
+// RunSVDDBench executes the micro-benchmark and returns the report; repeats
+// scale with cfg.Quick. Training is single-goroutine, so cfg.Workers plays
+// no part.
 func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 	repeats := 20
 	if cfg.Quick {
 		repeats = 5
 	}
-	workers := engine.ResolveWorkers(cfg.Workers)
 	ds := data.Blobs(svddBenchN, svddBenchD, 4, 30, 1000, 0.02, cfg.Seed)
 	ids := vec.Iota(ds.Len())
 
@@ -120,10 +118,9 @@ func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 	// layers switched on one at a time; the last swaps in float32 storage on
 	// top of the full fast path.
 	fixed := []SVDDBenchVariant{
-		{Name: "serial", Precision: "f64", Workers: 1},
-		{Name: "parallel-fill", Precision: "f64", Workers: workers},
-		{Name: "parallel+shrink", Precision: "f64", Workers: workers, Shrink: true},
-		{Name: "parallel+shrink-f32", Precision: "f32", Workers: workers, Shrink: true},
+		{Name: "serial", Precision: "f64"},
+		{Name: "shrink", Precision: "f64", Shrink: true},
+		{Name: "shrink-f32", Precision: "f32", Shrink: true},
 	}
 	for vi := range fixed {
 		v := &fixed[vi]
@@ -133,7 +130,6 @@ func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 		}
 		for r := 0; r < repeats; r++ {
 			c := svddBenchConfig(len(ids))
-			c.Workers = v.Workers
 			c.NoShrink = !v.Shrink
 			m, err := svdd.Train(vds, ids, c)
 			if err != nil && m == nil {
@@ -147,7 +143,7 @@ func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 		fixed[vi].Speedup = speedup(serialTotal, fixed[vi].TotalNs)
 	}
 	// The f32 variant's headline number is vs the same configuration in f64.
-	fixed[3].Speedup = speedup(fixed[2].TotalNs, fixed[3].TotalNs)
+	fixed[2].Speedup = speedup(fixed[1].TotalNs, fixed[2].TotalNs)
 
 	// Incremental configurations: a growing target (256 → 512 in steps of
 	// 64, mirroring expansion rounds absorbing new points), cold-started vs
@@ -155,8 +151,8 @@ func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 	steps := []int{256, 320, 384, 448, svddBenchN}
 	rep.IncrementalRounds = len(steps)
 	inc := []SVDDBenchVariant{
-		{Name: "incremental-cold", Precision: "f64", Workers: workers, Shrink: true},
-		{Name: "incremental-warm", Precision: "f64", Workers: workers, Shrink: true, WarmStart: true},
+		{Name: "incremental-cold", Precision: "f64", Shrink: true},
+		{Name: "incremental-warm", Precision: "f64", Shrink: true, WarmStart: true},
 	}
 	for vi := range inc {
 		v := &inc[vi]
@@ -164,7 +160,6 @@ func RunSVDDBench(cfg Config) (*SVDDBenchReport, error) {
 			var prev *svdd.Model
 			for _, n := range steps {
 				c := svddBenchConfig(n)
-				c.Workers = v.Workers
 				c.NoShrink = !v.Shrink
 				if v.WarmStart && prev != nil {
 					// Surviving ids are the prefix; new points carry 0.
@@ -200,16 +195,16 @@ func speedup(baseline, own int64) float64 {
 // SVDDPerf is the registry entry: it prints the variant table and, when
 // cfg.SVDDJSONPath is set, writes the machine-readable report there.
 func SVDDPerf(w io.Writer, cfg Config) error {
-	header(w, "SVDD training fast path (n=512, d=8): parallel fill, shrinking, warm start")
+	header(w, "SVDD training fast path (n=512, d=8): shrinking, float32 storage, warm start")
 	rep, err := RunSVDDBench(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-20s %5s %8s %8s %10s %12s %12s %12s %9s\n",
-		"variant", "prec", "workers", "rounds", "smoIters", "fill", "solve", "total", "speedup")
+	fmt.Fprintf(w, "%-20s %5s %8s %10s %12s %12s %12s %12s %9s\n",
+		"variant", "prec", "rounds", "smoIters", "kernelEnt", "fill", "solve", "total", "speedup")
 	for _, v := range rep.Variants {
-		fmt.Fprintf(w, "%-20s %5s %8d %8d %10d %11.3fms %11.3fms %11.3fms %8.2fx\n",
-			v.Name, v.Precision, v.Workers, v.Rounds, v.Iterations,
+		fmt.Fprintf(w, "%-20s %5s %8d %10d %12d %11.3fms %11.3fms %11.3fms %8.2fx\n",
+			v.Name, v.Precision, v.Rounds, v.Iterations, v.KernelEntries,
 			float64(v.FillNs)/1e6, float64(v.SolveNs)/1e6, float64(v.TotalNs)/1e6, v.Speedup)
 	}
 	if cfg.SVDDJSONPath != "" {

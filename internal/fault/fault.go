@@ -66,7 +66,8 @@ const (
 	// iteration, exercising the ErrNotConverged degradation path.
 	SolverNonConverge Point = iota
 	// WorkerPanic panics inside a spawned worker goroutine (engine.ForRanges,
-	// engine.Tasks, index batch fan-out), exercising panic containment.
+	// engine.Tasks, index batch fan-out) and inside SVDD kernel row
+	// materialization, exercising panic containment.
 	WorkerPanic
 	// IndexQueryError makes an engine query batch return an injected error,
 	// exercising error propagation out of expansion rounds.

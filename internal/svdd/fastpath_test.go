@@ -1,9 +1,9 @@
 package svdd
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dbsvec/internal/vec"
@@ -21,111 +21,78 @@ func gaussCloud(n, d int, seed int64) *vec.Dataset {
 	return ds
 }
 
-// TestParallelFillBitIdentical pins the tentpole guarantee: the dense fill
-// produces bit-identical matrices for every worker count. n=200 stays in
-// the always-eager zone; n=512 exercises the parallel zone against the
-// forced serial eager fill.
-func TestParallelFillBitIdentical(t *testing.T) {
-	for _, tc := range []struct{ n, d int }{{200, 4}, {200, 24}, {512, 8}, {512, 24}} {
-		ds := gaussCloud(tc.n, tc.d, int64(tc.n+tc.d))
-		ids := vec.Iota(tc.n)
-		sigma := SigmaLowerBound(ds, ids)
-
-		forceEagerFill = true
-		ref := newKernelMatrix(ds, ids, sigma, 1)
-		forceEagerFill = false
-		if ref.full == nil {
-			t.Fatalf("n=%d: forced serial fill is not dense", tc.n)
-		}
-		refCopy := append([]float64(nil), ref.full...)
-		releaseMatrix(ref)
-
-		for _, workers := range []int{2, 8} {
-			km := newKernelMatrix(ds, ids, sigma, workers)
-			if km.full == nil {
-				t.Fatalf("n=%d workers=%d: parallel fill is not dense", tc.n, workers)
-			}
-			for i, v := range km.full {
-				if v != refCopy[i] {
-					t.Fatalf("n=%d d=%d workers=%d: entry (%d,%d) = %x, serial %x",
-						tc.n, tc.d, workers, i/tc.n, i%tc.n, math.Float64bits(v), math.Float64bits(refCopy[i]))
-				}
-			}
-			releaseMatrix(km)
-		}
-	}
-}
-
-// TestLazyRowsMatchDenseFill pins the other half of the storage-mode
-// guarantee: lazily materialized rows (the serial path above
-// weightsExactCap) hold bit-identical values to the eager dense fill,
-// including the scalar at() fallback, in both the plain and cached-norms
-// distance regimes.
-func TestLazyRowsMatchDenseFill(t *testing.T) {
-	for _, d := range []int{8, 24} { // below and above dist.NormCachedMinDim
-		n := 300
-		ds := gaussCloud(n, d, int64(d))
-		ids := vec.Iota(n)
-		sigma := SigmaLowerBound(ds, ids)
-
-		lazy := newKernelMatrix(ds, ids, sigma, 1)
-		if lazy.full != nil {
-			t.Fatalf("d=%d: expected lazy storage at n=%d with one worker", d, n)
-		}
-		dense := newKernelMatrix(ds, ids, sigma, 2)
-		if dense.full == nil {
-			t.Fatalf("d=%d: expected dense storage with two workers", d)
-		}
-
-		// Scalar fallback before any row exists.
-		for _, pair := range [][2]int{{0, n - 1}, {7, 3}, {n / 2, n/2 + 1}} {
-			i, j := pair[0], pair[1]
-			if got, want := lazy.at(i, j), dense.at(i, j); got != want {
-				t.Errorf("d=%d: at(%d,%d) lazy %x dense %x", d, i, j,
-					math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-		// Full rows.
-		for _, i := range []int{0, 1, n / 3, n - 1} {
-			lr, dr := lazy.row(i), dense.row(i)
-			for j := 0; j < n; j++ {
-				if lr[j] != dr[j] {
-					t.Fatalf("d=%d: row %d entry %d lazy %x dense %x", d, i, j,
-						math.Float64bits(lr[j]), math.Float64bits(dr[j]))
-				}
-			}
-		}
-		releaseMatrix(lazy)
-		releaseMatrix(dense)
-	}
-}
-
-// TestTrainWorkersDeterministic verifies the end-to-end consequence: a
-// training run is bit-identical across worker counts, storage modes
-// included.
+// TestTrainWorkersDeterministic verifies that a training is a function of
+// its inputs only: trainings running concurrently on 2 and 8 goroutines,
+// which share the kernel row pool and so build their rows from recycled
+// buffers, produce bit-identical models and evaluate the same number of
+// kernel entries as a training run alone.
 func TestTrainWorkersDeterministic(t *testing.T) {
 	for _, d := range []int{8, 24} {
 		ds := gaussCloud(400, d, 11)
 		ids := vec.Iota(400)
 		times := make([]int, 400)
-		base, err := Train(ds, ids, Config{Nu: 0.1, Times: times, Workers: 1})
+		base, err := Train(ds, ids, Config{Nu: 0.1, Times: times})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
-			m, err := Train(ds, ids, Config{Nu: 0.1, Times: times, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+			models := make([]*Model, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := range models {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					models[w], errs[w] = Train(ds, ids, Config{Nu: 0.1, Times: times})
+				}()
 			}
-			if m.Iterations != base.Iterations || m.R2 != base.R2 {
-				t.Fatalf("d=%d workers=%d: iterations/R2 %d/%v differ from serial %d/%v",
-					d, workers, m.Iterations, m.R2, base.Iterations, base.R2)
-			}
-			for i := range m.Alpha {
-				if m.Alpha[i] != base.Alpha[i] {
-					t.Fatalf("d=%d workers=%d: alpha[%d] differs", d, workers, i)
+			wg.Wait()
+			for w, m := range models {
+				if errs[w] != nil {
+					t.Fatal(errs[w])
+				}
+				if m.Iterations != base.Iterations || m.R2 != base.R2 || m.Times.KernelEntries != base.Times.KernelEntries {
+					t.Fatalf("d=%d workers=%d: iterations/R2/entries %d/%v/%d differ from a lone training %d/%v/%d",
+						d, workers, m.Iterations, m.R2, m.Times.KernelEntries, base.Iterations, base.R2, base.Times.KernelEntries)
+				}
+				for i := range m.Alpha {
+					if m.Alpha[i] != base.Alpha[i] {
+						t.Fatalf("d=%d workers=%d: alpha[%d] differs", d, workers, i)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestKernelEntriesBounded pins the kernel-work counter of single trainings:
+// no training evaluates more than the ñ(ñ−1)/2 entries of the upper
+// triangle; a target of at most weightsExactCap points with adaptive weights
+// reads every row and so costs exactly that; and above the cap the solver
+// touches only part of the matrix, so the count is strictly below it.
+func TestKernelEntriesBounded(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		weights bool
+	}{{100, true}, {100, false}, {weightsExactCap, true}, {400, true}, {1074, true}} {
+		ds := gaussCloud(tc.n, 8, int64(tc.n))
+		cfg := Config{Nu: 0.1}
+		if tc.weights {
+			cfg.Times = make([]int, tc.n)
+		}
+		m, err := Train(ds, vec.Iota(tc.n), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense := int64(tc.n) * int64(tc.n-1) / 2
+		got := m.Times.KernelEntries
+		switch {
+		case got <= 0 || got > dense:
+			t.Errorf("n=%d weights=%v: %d kernel entries, want in (0, %d]", tc.n, tc.weights, got, dense)
+		case tc.weights && tc.n <= weightsExactCap && got != dense:
+			t.Errorf("n=%d: exact weights read every row, want %d entries, got %d", tc.n, dense, got)
+		case tc.n > weightsExactCap && got >= dense:
+			t.Errorf("n=%d: %d kernel entries, want fewer than the dense %d", tc.n, got, dense)
 		}
 	}
 }
@@ -135,7 +102,7 @@ func TestTrainWorkersDeterministic(t *testing.T) {
 // candidates of f_j. Convergence means the gap is below tolerance.
 func kktViolation(t *testing.T, ds *vec.Dataset, m *Model) float64 {
 	t.Helper()
-	km := newKernelMatrix(ds, m.IDs, m.Sigma, 1)
+	km := newKernelMatrix(ds, m.IDs, m.Sigma)
 	defer releaseMatrix(km)
 	n := len(m.IDs)
 	upVal, downVal := math.Inf(1), math.Inf(-1)
@@ -321,55 +288,49 @@ func benchTrainConfig() Config {
 	return Config{Nu: 0.1, Times: make([]int, 512), Dim: 8, MinPts: 100}
 }
 
-// BenchmarkTrain512d8 is the acceptance micro-benchmark recorded in
-// internal/svdd/README.md. The serial baseline forces the non-adaptive
-// eager fill with a full-scan solver; the fast variants layer the adaptive
-// fill strategy, shrinking and parallel workers on top.
+// BenchmarkTrain512d8 is the micro-benchmark recorded in
+// internal/svdd/README.md: a DBSVEC-shaped training with the full-scan
+// solver and with shrinking, reporting the kernel entries each evaluates.
 func BenchmarkTrain512d8(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
-	run := func(b *testing.B, cfg Config, eager bool) {
-		forceEagerFill = eager
-		defer func() { forceEagerFill = false }()
+	run := func(b *testing.B, cfg Config) {
 		b.ReportAllocs()
-		b.ResetTimer()
+		var entries int64
 		for i := 0; i < b.N; i++ {
-			if _, err := Train(ds, ids, cfg); err != nil {
+			m, err := Train(ds, ids, cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			entries += m.Times.KernelEntries
 		}
+		b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 	}
-	b.Run("baseline-eager-serial", func(b *testing.B) {
+	b.Run("full-scan", func(b *testing.B) {
 		cfg := benchTrainConfig()
-		cfg.Workers, cfg.NoShrink = 1, true
-		run(b, cfg, true)
+		cfg.NoShrink = true
+		run(b, cfg)
 	})
-	b.Run("fast-serial", func(b *testing.B) {
-		cfg := benchTrainConfig()
-		cfg.Workers = 1
-		run(b, cfg, false)
-	})
-	b.Run("fast-workers8", func(b *testing.B) {
-		cfg := benchTrainConfig()
-		cfg.Workers = 8
-		run(b, cfg, false)
+	b.Run("shrink", func(b *testing.B) {
+		run(b, benchTrainConfig())
 	})
 }
 
-// BenchmarkKernelFill512 isolates the dense fill the tentpole parallelizes.
+// BenchmarkKernelFill512 isolates the kernel evaluation cost: every row of
+// a 512-point matrix is read, which evaluates each upper-triangle entry
+// once and copies the rest.
 func BenchmarkKernelFill512(b *testing.B) {
 	ds := gaussCloud(512, 8, 3)
 	ids := vec.Iota(512)
 	sigma := SigmaLowerBound(ds, ids)
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			forceEagerFill = true
-			defer func() { forceEagerFill = false }()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				km := newKernelMatrix(ds, ids, sigma, workers)
-				releaseMatrix(km)
-			}
-		})
+	var entries int64
+	for i := 0; i < b.N; i++ {
+		km := newKernelMatrix(ds, ids, sigma)
+		for r := 0; r < km.n; r++ {
+			km.row(r)
+		}
+		entries += km.entries
+		releaseMatrix(km)
 	}
+	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 }

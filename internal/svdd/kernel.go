@@ -2,10 +2,11 @@ package svdd
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"dbsvec/internal/dist"
-	"dbsvec/internal/engine"
+	"dbsvec/internal/fault"
 	"dbsvec/internal/vec"
 )
 
@@ -15,24 +16,37 @@ func GaussianKernel(a, b []float64, sigma float64) float64 {
 	return math.Exp(-dist.SqDist(a, b) / (2 * sigma * sigma))
 }
 
-// kernelMatrix is a symmetric ñ×ñ Gaussian kernel matrix over a target set.
-// Small targets (ñ <= weightsExactCap, whose exact adaptive-weights pass
-// needs every row anyway) are materialized eagerly; with Workers > 1 the
-// eager fill extends to denseCap and fans out across the worker pool. All
-// other targets compute rows lazily and cache them, which keeps SMO at the
-// paper's O(ñ) per iteration (Section IV-D) — only the rows the solver
-// actually touches are evaluated, and with few support vectors that is a
-// small fraction of the matrix. Both representations produce bit-identical
-// entries (see at), so the storage choice never changes a trained model.
+// kernelMatrix is the symmetric ñ×ñ Gaussian kernel matrix over a target
+// set, held as a cache of rows: row i is built the first time the solver, the
+// adaptive-weights pass or finish reads it, and nothing is evaluated before
+// that. This keeps SMO at the paper's O(ñ) per iteration (Section IV-D) —
+// only the rows the solver actually touches are evaluated, and with few
+// support vectors that is a small fraction of the matrix.
+//
+// Building row i copies K(i,j) = rows[j][i] from every row j already cached
+// and evaluates only the remaining columns, in one batched distance call
+// over the uncached target positions. So no entry is ever computed twice: a
+// matrix whose rows are all read costs ñ(ñ−1)/2 evaluations, as a dense
+// fill of the upper triangle would. The copy is exact: every entry is a
+// per-pair-independent evaluation, and each distance route is symmetric bit
+// for bit — ‖a−b‖² squares the same differences up to sign, and the
+// cached-norms identity ‖a‖²+‖b‖²−2a·b is built from commutative IEEE
+// additions and products — so rows[j][i] is the value row i would have
+// computed for column j. Every K(i,j) is therefore independent of the order
+// in which rows are read, and trained models do not depend on it.
 type kernelMatrix struct {
-	ds    *vec.Dataset
+	ds  *vec.Dataset
+	ids []int32
+	// m (or m32 in float32 storage mode, where m is empty) holds the
+	// targets' coordinates gathered into one contiguous block, row i being
+	// target i: the batched kernels then stream the uncached columns in
+	// order instead of chasing ids across the whole dataset, which measured
+	// about a quarter off the kernel time on 64-d embeddings.
 	m     dist.Matrix
-	m32   dist.Matrix32 // float32 mirror; Coords non-nil only in f32 storage mode
-	ids   []int32
+	m32   dist.Matrix32
 	gamma float64 // 1/(2σ²)
 	n     int
-	full  []float64   // dense storage when n <= denseCap
-	rows  [][]float64 // lazy row cache otherwise
+	rows  [][]float64 // rows[i] once read, nil before
 	// norms caches ‖x_i‖² per target for the cached-norms distance identity;
 	// nil below dist.NormCachedMinDim, where the identity does not pay off,
 	// and nil in float32 storage mode, where the identity's catastrophic
@@ -40,55 +54,25 @@ type kernelMatrix struct {
 	// The identity reassociates arithmetic (ULP-level error), which the
 	// tolerance-based SMO solver absorbs — range-query backends never use it.
 	norms []float64
+	// entries counts the kernel entries evaluated so far (copies from
+	// cached rows and the unit diagonal are free).
+	entries int64
+	// cached lists the targets whose rows are built. uncached lists the
+	// others in ascending order — exactly the columns a new row must
+	// evaluate — with their norms alongside when the identity is on.
+	cached   []int32
+	uncached []int32
+	unorms   []float64
+	d2       []float64 // squared-distance scratch
 }
-
-// denseCap is the largest target size for which the ñ×ñ kernel matrix is
-// materialized eagerly when Workers > 1. It matches the default
-// MaxSVDDTarget cap, so parallel DBSVEC training rounds always take the
-// dense path: the eager fill is embarrassingly parallel (ForRanges across
-// the worker pool), while the lazy rows above serialize on the solver's
-// access order. With a single worker the eager fill has no parallelism to
-// exploit and computing the full matrix would waste work whenever the
-// solver touches only a fraction of the rows, so serial trainings stay lazy
-// above weightsExactCap.
-const denseCap = 1024
 
 // weightsExactCap is the largest target size for which the adaptive weights
-// (Eq. 7) use exact kernel row sums — which read every row, so matrices up
-// to this size are always filled eagerly. Beyond it the pivot-sampled
-// estimate is used even when the matrix is dense. The cutoff matches the
-// historical dense-storage bound so weight vectors — and hence trained
-// models — are unchanged by the widened parallel denseCap.
+// (Eq. 7) use exact kernel row sums, which read every row. Beyond it the
+// pivot-sampled estimate is used.
 const weightsExactCap = 256
 
-// forceEagerFill makes newKernelMatrix materialize every target up to
-// denseCap eagerly even with one worker — the strategy a non-adaptive
-// serial implementation would use. Package benchmarks flip it to measure
-// the adaptive fill against that baseline; it is never set in production.
-var forceEagerFill = false
-
-// parallelFillMin is the smallest target size worth fanning the dense fill
-// across workers; below it goroutine startup dominates the O(ñ²) fill.
-const parallelFillMin = 128
-
-// matrixPool recycles dense kernel-matrix backing slices. DBSVEC trains
-// SVDD hundreds of times per run with similar target sizes, so reuse avoids
-// repeated large allocations and their zeroing cost.
-var matrixPool sync.Pool
-
-func getMatrixBuf(n int) []float64 {
-	if v := matrixPool.Get(); v != nil {
-		buf := v.([]float64)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-// rowPool recycles lazy kernel rows the same way: SMO materializes a row per
-// touched target, and consecutive trainings touch similar row counts at
-// similar lengths.
+// rowPool recycles kernel rows: SMO materializes a row per touched target,
+// and consecutive trainings touch similar row counts at similar lengths.
 var rowPool sync.Pool
 
 func getRowBuf(n int) []float64 {
@@ -101,13 +85,9 @@ func getRowBuf(n int) []float64 {
 	return make([]float64, n)
 }
 
-// releaseMatrix returns the model's dense matrix and any materialized lazy
-// rows to their pools; called by Train once the solver is done with them.
+// releaseMatrix returns the materialized rows to the pool; called by Train
+// once the solver is done with them.
 func releaseMatrix(km *kernelMatrix) {
-	if km.full != nil {
-		matrixPool.Put(km.full) //nolint:staticcheck // slice reuse is the point
-		km.full = nil
-	}
 	for i, r := range km.rows {
 		if r != nil {
 			rowPool.Put(r) //nolint:staticcheck // slice reuse is the point
@@ -117,137 +97,72 @@ func releaseMatrix(km *kernelMatrix) {
 	km.rows = nil
 }
 
-// newKernelMatrix builds the kernel matrix for the target set, fanning the
-// dense fill across workers goroutines (<= 1 fills serially).
-func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64, workers int) *kernelMatrix {
-	km := &kernelMatrix{ds: ds, m: ds.Matrix(), m32: ds.Matrix32(), ids: ids, gamma: 1 / (2 * sigma * sigma), n: len(ids)}
-	if ds.Precision() == vec.F64 && ds.Dim() >= dist.NormCachedMinDim {
-		km.norms = dist.NormsIDs(km.m, ids)
+// newKernelMatrix prepares the row cache for the target set; no kernel entry
+// is evaluated until a row is read.
+func newKernelMatrix(ds *vec.Dataset, ids []int32, sigma float64) *kernelMatrix {
+	n, d := len(ids), ds.Dim()
+	km := &kernelMatrix{
+		ds: ds, ids: ids, gamma: 1 / (2 * sigma * sigma), n: n,
+		rows:   make([][]float64, n),
+		cached: make([]int32, 0, n), uncached: vec.Iota(n),
+		d2: make([]float64, n),
 	}
-	eager := km.n <= weightsExactCap ||
-		(km.n <= denseCap && (workers > 1 || forceEagerFill))
-	if eager {
-		km.full = getMatrixBuf(km.n * km.n)
-		km.fillDense(workers)
-	} else {
-		km.rows = make([][]float64, km.n)
+	if m32 := ds.Matrix32(); m32.Coords != nil {
+		km.m32 = dist.Matrix32{Coords: make([]float32, 0, n*d), Dim: d}
+		for _, id := range ids {
+			km.m32.Coords = append(km.m32.Coords, m32.Row(int(id))...)
+		}
+		return km
+	}
+	m := ds.Matrix()
+	km.m = dist.Matrix{Coords: make([]float64, 0, n*d), Dim: d}
+	for _, id := range ids {
+		km.m.Coords = append(km.m.Coords, m.Row(int(id))...)
+	}
+	if d >= dist.NormCachedMinDim {
+		km.norms = dist.Norms(km.m)
+		km.unorms = slices.Clone(km.norms)
 	}
 	return km
 }
 
-// fillBlock is the column-tile width of the dense fill: the fill walks the
-// upper triangle in tiles of fillBlock columns so the tile's target rows stay
-// resident in L1/L2 across all the query rows that scan them, instead of
-// streaming the whole remainder of the matrix once per row.
-const fillBlock = 128
-
-// fillDense computes the dense matrix: the upper triangle via the batched
-// distance kernels in cache-blocked column tiles, mirrored into the lower
-// triangle. With workers > 1 the rows are partitioned into contiguous ranges
-// of equal entry count (row i contributes n−i−1 upper-triangle entries) and
-// filled concurrently. Each unordered pair (i,j) is written exactly once — by
-// the range owning min(i,j) — so ranges touch disjoint matrix entries, and
-// every entry is a per-pair-independent kernel evaluation, so neither the
-// tiling nor the partitioning changes a single bit: the result is identical
-// for every worker count and tile width.
-func (km *kernelMatrix) fillDense(workers int) {
-	n := km.n
-	fill := func(lo, hi int) {
-		scratch := make([]float64, fillBlock)
-		for i := lo; i < hi; i++ {
-			km.full[i*n+i] = 1
-		}
-		for j0 := lo + 1; j0 < n; j0 += fillBlock {
-			j1 := min(j0+fillBlock, n)
-			for i := lo; i < hi && i < j1; i++ {
-				s := max(i+1, j0)
-				if s >= j1 {
-					continue
-				}
-				seg := scratch[:j1-s]
-				km.sqRow(i, s, seg)
-				for k, d2 := range seg {
-					v := math.Exp(-d2 * km.gamma)
-					j := s + k
-					km.full[i*n+j] = v
-					km.full[j*n+i] = v
-				}
-			}
-		}
-	}
-	if workers <= 1 || n < parallelFillMin {
-		fill(0, n)
-		return
-	}
-	engine.ForRanges(workers, n, func(i int) int64 { return int64(n - i - 1) }, fill)
-}
-
-// sqRow writes the squared distances from target i to targets
-// [off, off+len(out)) into out via the batched one-to-many kernel, routing
-// through the cached-norms identity when it is enabled for this matrix.
-func (km *kernelMatrix) sqRow(i, off int, out []float64) {
-	q := km.ds.Point(int(km.ids[i]))
-	sub := km.ids[off : off+len(out)]
-	if km.norms != nil {
-		dist.SqDistsToCached(km.m, q, km.norms[i], sub, km.norms[off:off+len(out)], out)
-		return
-	}
-	if km.m32.Coords != nil {
-		dist.SqDistsTo32(km.m32, q, sub, out)
-		return
-	}
-	dist.SqDistsTo(km.m, q, sub, out)
-}
-
-// row returns row i of the kernel matrix (length ñ), computing and caching
-// it on first access.
+// row returns row i of the kernel matrix (length ñ), building and caching it
+// on first access: entries mirrored in already-cached rows are copied, the
+// rest are evaluated in one batched call.
 func (km *kernelMatrix) row(i int) []float64 {
-	if km.full != nil {
-		return km.full[i*km.n : (i+1)*km.n]
-	}
 	if r := km.rows[i]; r != nil {
 		return r
 	}
+	fault.PanicNow(fault.WorkerPanic)
 	r := getRowBuf(km.n)
-	km.sqRow(i, 0, r)
-	for j := range r {
-		r[j] = math.Exp(-r[j] * km.gamma)
+	for _, j := range km.cached {
+		r[j] = km.rows[j][i]
 	}
 	r[i] = 1
+	km.cached = append(km.cached, int32(i))
+	p, _ := slices.BinarySearch(km.uncached, int32(i))
+	km.uncached = slices.Delete(km.uncached, p, p+1)
+	if km.unorms != nil {
+		km.unorms = slices.Delete(km.unorms, p, p+1)
+	}
+	if miss := km.uncached; len(miss) > 0 {
+		d2 := km.d2[:len(miss)]
+		q := km.ds.Point(int(km.ids[i]))
+		switch {
+		case km.norms != nil:
+			dist.SqDistsToCached(km.m, q, km.norms[i], miss, km.unorms, d2)
+		case km.m32.Coords != nil:
+			dist.SqDistsTo32(km.m32, q, miss, d2)
+		default:
+			dist.SqDistsTo(km.m, q, miss, d2)
+		}
+		for k, j := range miss {
+			r[j] = math.Exp(-d2[k] * km.gamma)
+		}
+		km.entries += int64(len(miss))
+	}
 	km.rows[i] = r
 	return r
-}
-
-// at returns K(i,j) without forcing a whole row when neither is cached. The
-// scalar fallback mirrors the batched row kernels entry for entry — plain
-// SqDist below the norm-caching threshold, the cached-norms identity above
-// it — so the value is bit-identical to what a materialized row would hold.
-// IEEE addition and multiplication are commutative, so the identity is also
-// symmetric in (i,j); together this makes every K(i,j) independent of the
-// storage mode, the fill order and the worker count.
-func (km *kernelMatrix) at(i, j int) float64 {
-	if i == j {
-		return 1
-	}
-	if km.full != nil {
-		return km.full[i*km.n+j]
-	}
-	if r := km.rows[i]; r != nil {
-		return r[j]
-	}
-	if r := km.rows[j]; r != nil {
-		return r[i]
-	}
-	var d2 float64
-	if km.norms != nil {
-		d2 = km.norms[j] + km.norms[i] - 2*dist.Dot(km.m.Row(int(km.ids[j])), km.m.Row(int(km.ids[i])))
-		if d2 < 0 {
-			d2 = 0
-		}
-	} else {
-		d2 = dist.SqDist(km.m.Row(int(km.ids[i])), km.m.Row(int(km.ids[j])))
-	}
-	return math.Exp(-d2 * km.gamma)
 }
 
 // KernelDistances evaluates the kernel distance function D(x) of Eq. 5 for

@@ -22,11 +22,15 @@ func precTestDataset(t *testing.T, rng *rand.Rand, n, d int, offset float64) *ve
 	return ds
 }
 
-// TestFillDenseBlockedBitIdentical pins the cache-blocked dense fill against
-// the straightforward one-row-at-a-time reference: for every storage mode
-// and worker count the tiled fill must write exactly the same bits, since
-// each entry is a per-pair-independent kernel evaluation.
-func TestFillDenseBlockedBitIdentical(t *testing.T) {
+// TestKernelCacheBitIdentical pins the row cache's storage guarantee: in
+// whatever order rows are read, every cached entry K(i,j) equals, bit for
+// bit, an independent per-pair evaluation — plain SqDist, or the
+// cached-norms identity for f64 at d >= NormCachedMinDim, then Exp — so an
+// entry copied from the mirrored row j is indistinguishable from one row i
+// evaluates itself. Rows come from the shared pool, so each order also
+// overwrites the previous order's stale rows. Reading k rows evaluates
+// exactly k(ñ−1) − k(k−1)/2 entries: no entry is computed twice.
+func TestKernelCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {
 		name string
@@ -39,47 +43,64 @@ func TestFillDenseBlockedBitIdentical(t *testing.T) {
 		{"f32-large-dim", 24, vec.F32}, // norms stay off in f32 mode
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// n > parallelFillMin and not a multiple of fillBlock, so the
-			// parallel path and ragged final tiles are both exercised.
-			n := parallelFillMin + 77
-			ds := precTestDataset(t, rng, n, tc.d, 0)
+			const total, n = 300, 205
+			ds := precTestDataset(t, rng, total, tc.d, 0)
 			ds, err := ds.ToPrecision(tc.prec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids := vec.Iota(n)
+			// A scattered subset, so gathered ids differ from target positions.
+			ids := make([]int32, n)
+			for k, p := range rng.Perm(total)[:n] {
+				ids[k] = int32(p)
+			}
 			sigma := SigmaLowerBound(ds, ids)
-
-			// Reference: same sqRow routing, one full row remainder at a time
-			// (the pre-blocking fill order).
-			ref := newKernelMatrix(ds, ids, sigma, 1)
-			want := make([]float64, n*n)
-			row := make([]float64, n)
-			for i := 0; i < n; i++ {
-				want[i*n+i] = 1
-				if i+1 < n {
-					seg := row[:n-i-1]
-					ref.sqRow(i, i+1, seg)
-					for k, d2 := range seg {
-						v := math.Exp(-d2 * ref.gamma)
-						j := i + 1 + k
-						want[i*n+j] = v
-						want[j*n+i] = v
-					}
+			gamma := 1 / (2 * sigma * sigma)
+			norms := tc.prec == vec.F64 && tc.d >= dist.NormCachedMinDim
+			want := func(i, j int) float64 {
+				if i == j {
+					return 1
 				}
+				a, b := ds.Point(int(ids[i])), ds.Point(int(ids[j]))
+				var d2 float64
+				if norms {
+					d2 = max(dist.Norm2(a)+dist.Norm2(b)-2*dist.Dot(a, b), 0)
+				} else {
+					d2 = dist.SqDist(a, b)
+				}
+				return math.Exp(-d2 * gamma)
 			}
 
-			for _, workers := range []int{1, 3, 8} {
-				km := newKernelMatrix(ds, ids, sigma, workers)
-				if km.full == nil {
-					t.Fatalf("workers=%d: expected dense fill", workers)
+			forward := make([]int, n)
+			reverse := make([]int, n)
+			for i := range forward {
+				forward[i], reverse[i] = i, n-1-i
+			}
+			orders := map[string][]int{
+				"forward": forward, "reverse": reverse,
+				"random1": rng.Perm(n), "random2": rng.Perm(n),
+				"partial": rng.Perm(n)[:n/3],
+			}
+			for name, order := range orders {
+				km := newKernelMatrix(ds, ids, sigma)
+				for _, i := range order {
+					km.row(i)
 				}
-				for idx := range want {
-					if km.full[idx] != want[idx] {
-						t.Fatalf("workers=%d: entry (%d,%d) = %v, reference %v",
-							workers, idx/n, idx%n, km.full[idx], want[idx])
+				km.row(order[0]) // a re-read is free
+				k := int64(len(order))
+				if wantEntries := k*int64(n-1) - k*(k-1)/2; km.entries != wantEntries {
+					t.Errorf("%s: %d kernel entries for %d rows, want %d", name, km.entries, k, wantEntries)
+				}
+				for _, i := range order {
+					r := km.rows[i]
+					for j := 0; j < n; j++ {
+						if w := want(i, j); r[j] != w {
+							t.Fatalf("%s: entry (%d,%d) = %x, per-pair %x",
+								name, i, j, math.Float64bits(r[j]), math.Float64bits(w))
+						}
 					}
 				}
+				releaseMatrix(km)
 			}
 		})
 	}
@@ -106,7 +127,7 @@ func TestF32ModeDisablesNormsIdentity(t *testing.T) {
 	ids := vec.Iota(n)
 	sigma := SigmaLowerBound(ds, ids)
 
-	if km := newKernelMatrix(ds, ids, sigma, 2); km.norms != nil {
+	if km := newKernelMatrix(ds, ids, sigma); km.norms != nil {
 		t.Fatal("f32-mode kernel matrix cached norms; the identity must be gated off")
 	}
 	// The F64 view of the same quantized coordinates does use the identity.
@@ -114,7 +135,7 @@ func TestF32ModeDisablesNormsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if km := newKernelMatrix(master, ids, sigma, 2); km.norms == nil {
+	if km := newKernelMatrix(master, ids, sigma); km.norms == nil {
 		t.Fatal("f64 kernel matrix at d>=NormCachedMinDim should cache norms")
 	}
 
@@ -161,7 +182,7 @@ func TestTrainF32MatchesWidenedMaster(t *testing.T) {
 	}
 	ids := vec.Iota(n)
 	cfg := func() Config {
-		return Config{Nu: 0.1, Times: make([]int, n), Tol: 1e-4, Dim: d, MinPts: 20, Workers: 3}
+		return Config{Nu: 0.1, Times: make([]int, n), Tol: 1e-4, Dim: d, MinPts: 20}
 	}
 	m32, err := Train(ds32, ids, cfg())
 	if err != nil {

@@ -111,7 +111,7 @@ func TestTrainCancelledUpFront(t *testing.T) {
 	ds, _ := blobWithOutliers(100, 14)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if m, err := Train(ds, allIDs(100), Config{Nu: 0.1, Context: ctx, Workers: 4}); !errors.Is(err, context.Canceled) || m != nil {
+	if m, err := Train(ds, allIDs(100), Config{Nu: 0.1, Context: ctx}); !errors.Is(err, context.Canceled) || m != nil {
 		t.Fatalf("model=%v err=%v, want nil model and context.Canceled", m, err)
 	}
 }
@@ -134,9 +134,9 @@ func TestTrainWorkerPanicContained(t *testing.T) {
 	restore := fault.Activate(fault.NewInjector(1).Arm(fault.WorkerPanic, fault.Nth(1)))
 	defer restore()
 	ds, _ := blobWithOutliers(300, 16)
-	// Workers > 1 routes the kernel fill through engine.ForRanges, whose
-	// spawned workers carry the injection site.
-	m, err := Train(ds, allIDs(300), Config{Nu: 0.1, Workers: 4})
+	// Kernel row materialization carries the injection site, so the first
+	// row the training reads panics.
+	m, err := Train(ds, allIDs(300), Config{Nu: 0.1})
 	var wp *fault.WorkerPanicError
 	if !errors.As(err, &wp) {
 		t.Fatalf("err = %v, want *fault.WorkerPanicError", err)

@@ -18,11 +18,11 @@
 // optimized by repeatedly selecting the maximal-violating pair and moving
 // mass between its two multipliers in closed form. The training fast path
 // adds three layers on top (see internal/svdd/README.md and the "SVDD
-// solver internals" section of DESIGN.md): the dense kernel fill fans out
-// across a worker pool, a shrinking heuristic drops bound-pinned
-// multipliers from the working set (with a final full-pass KKT re-check so
-// converged models are unchanged), and incremental rounds can warm-start
-// from the previous round's multipliers.
+// solver internals" section of DESIGN.md): kernel rows are built only when
+// read and no kernel entry is evaluated twice, a shrinking heuristic drops
+// bound-pinned multipliers from the working set (with a final full-pass KKT
+// re-check so converged models are unchanged), and incremental rounds can
+// warm-start from the previous round's multipliers.
 package svdd
 
 import (
@@ -69,10 +69,6 @@ type Config struct {
 	// objective decrease. Usually converges in fewer iterations at a higher
 	// per-iteration cost.
 	SecondOrder bool
-	// Workers fans the dense kernel-matrix fill across this many goroutines
-	// with deterministic row-range partitioning (bit-identical to the
-	// serial fill for every value). <= 1 fills on the calling goroutine.
-	Workers int
 	// WarmAlpha, when non-nil, warm-starts the solver from these Lagrange
 	// multipliers (aligned with the target ids; new points carry 0). The
 	// values are clamped into [0, ω_i·C] and renormalized to Σα = 1, so any
@@ -116,7 +112,8 @@ type Model struct {
 	Converged bool
 	// Times is the per-stage wall-clock of this training (kernel fill /
 	// SMO solve / radius extraction), for the engine's run statistics; its
-	// Rounds/NotConverged counters record this training's outcome.
+	// Rounds/NotConverged counters record this training's outcome and
+	// KernelEntries the kernel entries it evaluated.
 	Times engine.SVDDTimes
 
 	ds       *vec.Dataset
@@ -175,8 +172,8 @@ const (
 //
 // Failure contract: ErrNotConverged and ErrAllSupportVectors are returned
 // *with* a usable model; every other error returns a nil model. A panic
-// anywhere inside training (including worker goroutines of the parallel
-// kernel fill) is contained and returned as a *fault.WorkerPanicError.
+// anywhere inside training is contained and returned as a
+// *fault.WorkerPanicError.
 func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -242,7 +239,7 @@ func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 	}
 
 	fill := engine.StartPhase()
-	km := newKernelMatrix(ds, ids, sigma, cfg.Workers)
+	km := newKernelMatrix(ds, ids, sigma)
 
 	weights := cfg.Weights
 	if cfg.Times != nil {
@@ -292,6 +289,7 @@ func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 	fin := engine.StartPhase()
 	m.finish(km)
 	fin.Stop(&m.Times.Finish)
+	m.Times.KernelEntries = km.entries
 	releaseMatrix(km)
 
 	if !m.Converged {
@@ -313,19 +311,18 @@ func Train(ds *vec.Dataset, ids []int32, cfg Config) (model *Model, err error) {
 }
 
 // adaptiveWeights evaluates Eq. 7 from a prepared kernel matrix. For small
-// dense matrices (ñ <= weightsExactCap) the kernel distance
+// targets (ñ <= weightsExactCap) the kernel distance
 // D_i = c + 1 − (2/ñ)·Σ_j K_ij falls out of the exact row sums. For larger
 // targets it is estimated from a fixed set of evenly spaced pivot rows:
 // D̂_i = ĉ + 1 − (2/m)·Σ_{p∈pivots} K_ip. Only the *ranking* of distances
 // matters for the weights (they are normalized by the maximum), so the
 // estimate preserves the behaviour at a fraction of the O(ñ²) cost — this
 // keeps each SVDD training linear in ñ as the paper's cost analysis
-// assumes. The cutoff is independent of the storage layout so that the
-// widened dense cap leaves weight vectors unchanged.
+// assumes.
 func adaptiveWeights(km *kernelMatrix, times []int, lambda float64) []float64 {
 	n := km.n
 	dists := make([]float64, n)
-	if km.full != nil && n <= weightsExactCap {
+	if n <= weightsExactCap {
 		rowSums := make([]float64, n)
 		var double float64
 		for i := 0; i < n; i++ {
@@ -600,8 +597,10 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, tol float64, max
 			}
 		}
 		i, j := up, down
+		rowI := km.row(i)
+		rowJ := km.row(j)
 		// Closed-form step: minimize along α_i += Δ, α_j -= Δ.
-		eta := 2 - 2*km.at(i, j) // K_ii + K_jj − 2K_ij with Gaussian diag 1
+		eta := 2 - 2*rowI[j] // K_ii + K_jj − 2K_ij with Gaussian diag 1
 		var delta float64
 		if eta > 1e-12 {
 			delta = (f[j] - f[i]) / eta
@@ -629,8 +628,6 @@ func (m *Model) solveSMO(ctx context.Context, km *kernelMatrix, tol float64, max
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
-		rowI := km.row(i)
-		rowJ := km.row(j)
 		for _, kk := range active {
 			k := int(kk)
 			f[k] += delta * (rowI[k] - rowJ[k])

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"dbsvec/internal/data"
-	"dbsvec/internal/engine"
 	"dbsvec/internal/svdd"
 	"dbsvec/internal/vec"
 )
@@ -20,10 +19,6 @@ type OneClassOptions struct {
 	// Sigma is the Gaussian kernel width; 0 selects the paper's σ = r/√2
 	// rule over the training set (Section IV-B2).
 	Sigma float64
-	// Workers fans the kernel-matrix fill across this many goroutines with
-	// output bit-identical to the serial fill. 0 selects all CPUs, 1 runs
-	// sequentially.
-	Workers int
 	// MaxIter caps the SMO iterations; 0 selects the solver default
 	// (200·n + 10000). A truncated solve returns the best iterate together
 	// with ErrNotConverged.
@@ -59,7 +54,6 @@ func TrainOneClass(d *Dataset, opts OneClassOptions) (*OneClassModel, error) {
 	m, err := svdd.Train(d.ds, vec.Iota(d.Len()), svdd.Config{
 		Nu:      nu,
 		Sigma:   opts.Sigma,
-		Workers: engine.ResolveWorkers(opts.Workers),
 		MaxIter: opts.MaxIter,
 		Tol:     opts.Tol,
 	})

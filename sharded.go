@@ -121,11 +121,7 @@ func aggregateShardStats(sst *ShardStats) Stats {
 		st.Phases.Init += c.Phases.Init
 		st.Phases.Expand += c.Phases.Expand
 		st.Phases.Verify += c.Phases.Verify
-		st.SVDD.Fill += c.SVDD.Fill
-		st.SVDD.Solve += c.SVDD.Solve
-		st.SVDD.Finish += c.SVDD.Finish
-		st.SVDD.Rounds += c.SVDD.Rounds
-		st.SVDD.NotConverged += c.SVDD.NotConverged
+		st.SVDD.Add(c.SVDD)
 	}
 	return st
 }
