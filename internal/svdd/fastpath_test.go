@@ -3,6 +3,7 @@ package svdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,6 +20,110 @@ func gaussCloud(n, d int, seed int64) *vec.Dataset {
 	}
 	ds, _ := vec.NewDataset(coords, d)
 	return ds
+}
+
+// TestParallelFillBitIdentical pins the row cache under concurrency: caches
+// of the same target filled at the same time on 2 and 8 goroutines, each in
+// its own random row order and all drawing rows from the shared pool, hold
+// bit-identical matrices to a cache filled alone, and each evaluates the
+// same ñ(ñ−1)/2 entries.
+func TestParallelFillBitIdentical(t *testing.T) {
+	for _, tc := range []struct{ n, d int }{{200, 4}, {200, 24}, {512, 8}, {512, 24}} {
+		ds := gaussCloud(tc.n, tc.d, int64(tc.n+tc.d))
+		ids := vec.Iota(tc.n)
+		sigma := SigmaLowerBound(ds, ids)
+		fill := func(km *kernelMatrix, order []int) {
+			for _, i := range order {
+				km.row(i)
+			}
+		}
+		forward := make([]int, tc.n)
+		for i := range forward {
+			forward[i] = i
+		}
+		ref := newKernelMatrix(ds, ids, sigma)
+		fill(ref, forward)
+
+		for _, workers := range []int{2, 8} {
+			rng := rand.New(rand.NewSource(int64(workers)))
+			kms := make([]*kernelMatrix, workers)
+			orders := make([][]int, workers)
+			for w := range kms {
+				kms[w] = newKernelMatrix(ds, ids, sigma)
+				orders[w] = rng.Perm(tc.n)
+			}
+			var wg sync.WaitGroup
+			for w := range kms {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fill(kms[w], orders[w])
+				}()
+			}
+			wg.Wait()
+			for w, km := range kms {
+				if km.entries != ref.entries {
+					t.Errorf("n=%d d=%d workers=%d: %d kernel entries, alone %d",
+						tc.n, tc.d, workers, km.entries, ref.entries)
+				}
+				for i := 0; i < tc.n; i++ {
+					for j, v := range km.rows[i] {
+						if want := ref.rows[i][j]; v != want {
+							t.Fatalf("n=%d d=%d workers=%d cache %d: entry (%d,%d) = %x, alone %x",
+								tc.n, tc.d, workers, w, i, j, math.Float64bits(v), math.Float64bits(want))
+						}
+					}
+				}
+				releaseMatrix(km)
+			}
+		}
+		releaseMatrix(ref)
+	}
+}
+
+// TestLazyRowsMatchDenseFill pins a partial read, as the solver makes above
+// weightsExactCap: rows read lazily, a third of them in random order, hold
+// bit-identical values to the same rows of a fully filled cache and to a
+// per-pair evaluation, in both the plain and cached-norms distance regimes,
+// and reading k rows evaluates exactly k(ñ−1) − k(k−1)/2 entries — each
+// entry once, none outside the rows read.
+func TestLazyRowsMatchDenseFill(t *testing.T) {
+	for _, d := range []int{8, 24} { // below and above dist.NormCachedMinDim
+		const n = 300
+		ds := gaussCloud(n, d, int64(d))
+		ids := vec.Iota(n)
+		sigma := SigmaLowerBound(ds, ids)
+
+		dense := newKernelMatrix(ds, ids, sigma)
+		for i := 0; i < n; i++ {
+			dense.row(i)
+		}
+		lazy := newKernelMatrix(ds, ids, sigma)
+		read := rand.New(rand.NewSource(int64(d))).Perm(n)[:n/3]
+		for _, i := range read {
+			lazy.row(i)
+		}
+		k := int64(len(read))
+		if want := k*int64(n-1) - k*(k-1)/2; lazy.entries != want {
+			t.Errorf("d=%d: %d kernel entries for %d rows, want %d", d, lazy.entries, k, want)
+		}
+		for i, r := range lazy.rows {
+			if r != nil && !slices.Contains(read, i) {
+				t.Fatalf("d=%d: row %d built without being read", d, i)
+			}
+		}
+		for _, i := range read {
+			for j, v := range lazy.rows[i] {
+				if want := dense.rows[i][j]; v != want {
+					t.Fatalf("d=%d: row %d entry %d lazy %x dense %x", d, i, j,
+						math.Float64bits(v), math.Float64bits(want))
+				}
+			}
+		}
+		checkRows(t, "lazy", lazy, read, kernelRef(ds, ids, sigma))
+		releaseMatrix(lazy)
+		releaseMatrix(dense)
+	}
 }
 
 // TestTrainWorkersDeterministic verifies that a training is a function of

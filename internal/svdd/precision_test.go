@@ -22,15 +22,52 @@ func precTestDataset(t *testing.T, rng *rand.Rand, n, d int, offset float64) *ve
 	return ds
 }
 
-// TestKernelCacheBitIdentical pins the row cache's storage guarantee: in
-// whatever order rows are read, every cached entry K(i,j) equals, bit for
-// bit, an independent per-pair evaluation — plain SqDist, or the
-// cached-norms identity for f64 at d >= NormCachedMinDim, then Exp — so an
-// entry copied from the mirrored row j is indistinguishable from one row i
-// evaluates itself. Rows come from the shared pool, so each order also
-// overwrites the previous order's stale rows. Reading k rows evaluates
-// exactly k(ñ−1) − k(k−1)/2 entries: no entry is computed twice.
-func TestKernelCacheBitIdentical(t *testing.T) {
+// kernelRef returns an independent per-pair evaluation of the kernel
+// entries over the target ids — plain SqDist, or the cached-norms identity
+// where the row cache uses it (f64 at d >= NormCachedMinDim), then Exp — to
+// check the row cache against.
+func kernelRef(ds *vec.Dataset, ids []int32, sigma float64) func(i, j int) float64 {
+	gamma := 1 / (2 * sigma * sigma)
+	norms := ds.Precision() == vec.F64 && ds.Dim() >= dist.NormCachedMinDim
+	return func(i, j int) float64 {
+		if i == j {
+			return 1
+		}
+		a, b := ds.Point(int(ids[i])), ds.Point(int(ids[j]))
+		var d2 float64
+		if norms {
+			d2 = max(dist.Norm2(a)+dist.Norm2(b)-2*dist.Dot(a, b), 0)
+		} else {
+			d2 = dist.SqDist(a, b)
+		}
+		return math.Exp(-d2 * gamma)
+	}
+}
+
+// checkRows fails unless every entry of the listed cached rows equals ref
+// bit for bit.
+func checkRows(t *testing.T, what string, km *kernelMatrix, rows []int, ref func(i, j int) float64) {
+	t.Helper()
+	for _, i := range rows {
+		r := km.rows[i]
+		for j := 0; j < km.n; j++ {
+			if w := ref(i, j); r[j] != w {
+				t.Fatalf("%s: entry (%d,%d) = %x, per-pair %x",
+					what, i, j, math.Float64bits(r[j]), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestFillDenseBlockedBitIdentical pins the row cache's storage guarantee
+// for a full fill (every row read, as exact adaptive weights do): in
+// whatever order the rows are read, every entry K(i,j) equals, bit for bit,
+// an independent per-pair evaluation, so an entry copied from the mirrored
+// row j is indistinguishable from one row i evaluates itself. Rows come from
+// the shared pool, so each order also overwrites the previous order's stale
+// rows. The fill evaluates exactly the ñ(ñ−1)/2 upper-triangle entries. The
+// name is that of the cache-blocked dense fill this cache replaced.
+func TestFillDenseBlockedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, tc := range []struct {
 		name string
@@ -55,21 +92,7 @@ func TestKernelCacheBitIdentical(t *testing.T) {
 				ids[k] = int32(p)
 			}
 			sigma := SigmaLowerBound(ds, ids)
-			gamma := 1 / (2 * sigma * sigma)
-			norms := tc.prec == vec.F64 && tc.d >= dist.NormCachedMinDim
-			want := func(i, j int) float64 {
-				if i == j {
-					return 1
-				}
-				a, b := ds.Point(int(ids[i])), ds.Point(int(ids[j]))
-				var d2 float64
-				if norms {
-					d2 = max(dist.Norm2(a)+dist.Norm2(b)-2*dist.Dot(a, b), 0)
-				} else {
-					d2 = dist.SqDist(a, b)
-				}
-				return math.Exp(-d2 * gamma)
-			}
+			ref := kernelRef(ds, ids, sigma)
 
 			forward := make([]int, n)
 			reverse := make([]int, n)
@@ -79,7 +102,6 @@ func TestKernelCacheBitIdentical(t *testing.T) {
 			orders := map[string][]int{
 				"forward": forward, "reverse": reverse,
 				"random1": rng.Perm(n), "random2": rng.Perm(n),
-				"partial": rng.Perm(n)[:n/3],
 			}
 			for name, order := range orders {
 				km := newKernelMatrix(ds, ids, sigma)
@@ -87,19 +109,10 @@ func TestKernelCacheBitIdentical(t *testing.T) {
 					km.row(i)
 				}
 				km.row(order[0]) // a re-read is free
-				k := int64(len(order))
-				if wantEntries := k*int64(n-1) - k*(k-1)/2; km.entries != wantEntries {
-					t.Errorf("%s: %d kernel entries for %d rows, want %d", name, km.entries, k, wantEntries)
+				if want := int64(n) * int64(n-1) / 2; km.entries != want {
+					t.Errorf("%s: %d kernel entries for a full fill, want %d", name, km.entries, want)
 				}
-				for _, i := range order {
-					r := km.rows[i]
-					for j := 0; j < n; j++ {
-						if w := want(i, j); r[j] != w {
-							t.Fatalf("%s: entry (%d,%d) = %x, per-pair %x",
-								name, i, j, math.Float64bits(r[j]), math.Float64bits(w))
-						}
-					}
-				}
+				checkRows(t, name, km, order, ref)
 				releaseMatrix(km)
 			}
 		})
