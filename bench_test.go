@@ -5,6 +5,7 @@
 package dbsvec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -339,5 +340,42 @@ func BenchmarkNQ_DBSCAN(b *testing.B) {
 		if _, _, err := nqdbscan.Run(ds, nqdbscan.Params{Eps: 5000, MinPts: 100}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkModelAssign times Model.AssignContext on the SeedSpreader n=20k,
+// d=8 model (see spreaderModel) in single-point and 64-point batches of
+// training points, on one worker. It reports µs per point and how many
+// snapshots got a distance pass per point, out of Snapshots().
+func BenchmarkModelAssign(b *testing.B) {
+	m, train := spreaderModel(b)
+	dim := train.Dim()
+	for _, size := range []int{1, 64} {
+		// 2,048 training points, cut into batches of size.
+		var batches []*Dataset
+		coords := train.ds.Matrix().Coords
+		for lo := 0; lo < 2048; lo += size {
+			ds, err := FromFlat(append([]float64(nil), coords[lo*dim:(lo+size)*dim]...), dim)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches = append(batches, ds)
+		}
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			ctx := context.Background()
+			var scored int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, n, err := m.assignContext(ctx, batches[i%len(batches)], 1, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scored += n
+			}
+			points := float64(b.N * size)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/points, "µs/point")
+			b.ReportMetric(float64(scored)/points, "snapshots/point")
+		})
 	}
 }

@@ -79,7 +79,7 @@ func (m *Model) Snapshots() int {
 }
 
 // SupportVectors returns the total number of support vectors across every
-// retained snapshot — the size of the boundary description Assign evaluates.
+// retained snapshot — the size of the boundary description Assign draws on.
 func (m *Model) SupportVectors() int {
 	n := 0
 	for i := range m.art.Entries {
@@ -145,30 +145,63 @@ func LoadModel(r io.Reader) (*Model, error) {
 }
 
 // assignPlan is the flattened evaluation state Assign builds once per Model:
-// all support vectors concatenated into one matrix so a single batched
-// distance pass per query point serves every boundary evaluation and the
-// nearest-vector fallback.
+// all support vectors concatenated into one matrix, entry by entry, plus a
+// bounding ball and a score cut per entry, so a query point pays distances
+// and exp() only for the snapshots that could decide its label.
+//
+// An entry can decide a label two ways: its score bias − 2Σαᵢ·exp(−d²γ) is
+// ≤ 0 (the point is inside its boundary), or one of its SVs is the nearest
+// SV and lies within ε (the fallback). Both need some SV close to the point:
+// a score ≤ 0 needs an SV at d² ≤ cut (see scoreCut), and the fallback one
+// at d ≤ ε. The triangle inequality bounds every SV's distance below by
+// ‖q−c‖ − radius, so an entry whose centroid is farther than
+// radius + max(ε, √cut) cannot decide the label and is skipped whole; an
+// entry whose SVs all lie beyond √cut skips its exp() sum. Each bound
+// carries assignSlack, so the skipped work would have scored > 0 and found
+// no SV within ε under the evaluated arithmetic too: labels are bit
+// identical to scoring every entry.
 type assignPlan struct {
-	svs     dist.Matrix // every SV of every snapshot, row-major
-	alpha   []float64   // multiplier per SV row
-	cluster []int32     // owning final cluster id per SV row
-	entries []planEntry
-	eps2    float64
+	svs       dist.Matrix // every SV of every snapshot, row-major
+	alpha     []float64   // multiplier per SV row
+	cluster   []int32     // owning final cluster id per SV row
+	centroids dist.Matrix // one row per entry: the mean of its SVs
+	entries   []planEntry
+	eps2      float64
+	maxSVs    int // the largest entry's SV count: the per-range scratch size
 }
 
 // planEntry is one snapshot's slice of the plan.
 type planEntry struct {
-	lo, hi  int     // SV row range [lo, hi)
-	gamma   float64 // 1 / (2σ²)
-	bias    float64 // 1 + αᵀKα − R²: Eval(x) = bias − 2Σᵢ αᵢ·exp(−‖x−xᵢ‖²·γ)
-	cluster int32
+	lo, hi   int     // SV row range [lo, hi)
+	gamma    float64 // 1 / (2σ²)
+	bias     float64 // 1 + αᵀKα − R²: Eval(x) = bias − 2Σᵢ αᵢ·exp(−‖x−xᵢ‖²·γ)
+	cut      float64 // every SV at d² > cut ⇒ score > 0 (+Inf: never)
+	far2     float64 // centroid d² beyond which the entry cannot decide Assign
+	nearFar2 float64 // the same for AssignNearestContext: ε alone
+	cluster  int32
 }
+
+// assignSlack is the relative margin on every pruning bound: radii and
+// thresholds are widened by it, and the score cut leaves a margin of it
+// against the score's own rounding. A d-dimensional squared distance is off
+// by at most ~(d+2)·1.1e-16 of itself and a k-term exp() sum by ~k·1.1e-16
+// of Σ|αᵢ|, so the margin is ~1e4 times either for d and k up to 10⁵:
+// pruning never rests on the last bits, and entries inside the margin are
+// simply evaluated.
+const assignSlack = 1e-6
+
+// centroidBlock is how many entry centroids one batched distance call
+// covers; the block lives on the stack, so scoring a point allocates
+// nothing.
+const centroidBlock = 64
 
 func (m *Model) assignPlan() *assignPlan {
 	m.planOnce.Do(func() {
+		dim := m.art.Dim
 		p := &assignPlan{
-			svs:  dist.Matrix{Dim: m.art.Dim},
-			eps2: m.art.Eps * m.art.Eps,
+			svs:       dist.Matrix{Dim: dim},
+			centroids: dist.Matrix{Dim: dim},
+			eps2:      m.art.Eps * m.art.Eps,
 		}
 		for i := range m.art.Entries {
 			e := &m.art.Entries[i]
@@ -182,17 +215,86 @@ func (m *Model) assignPlan() *assignPlan {
 			for range s.IDs {
 				p.cluster = append(p.cluster, e.Cluster)
 			}
-			p.entries = append(p.entries, planEntry{
+			pe := planEntry{
 				lo:      lo,
 				hi:      len(p.alpha),
 				gamma:   1 / (2 * s.Sigma * s.Sigma),
 				bias:    1 + s.AlphaDot - s.R2,
 				cluster: e.Cluster,
-			})
+			}
+			p.maxSVs = max(p.maxSVs, pe.hi-pe.lo)
+			svs := dist.Matrix{Coords: s.Coords, Dim: dim}
+			c := centroid(svs)
+			p.centroids.Coords = append(p.centroids.Coords, c...)
+			radius := ballRadius(svs, c)
+			pe.cut = scoreCut(s.Alpha, pe.gamma, pe.bias)
+			pe.far2 = sq((radius + math.Max(m.art.Eps, math.Sqrt(pe.cut))) * (1 + assignSlack))
+			pe.nearFar2 = sq((radius + m.art.Eps) * (1 + assignSlack))
+			p.entries = append(p.entries, pe)
 		}
 		m.plan = p
 	})
 	return m.plan
+}
+
+func sq(x float64) float64 { return x * x }
+
+// centroid returns the mean of the rows of svs. Any point would do as a
+// ball center; the mean keeps the radius small.
+func centroid(svs dist.Matrix) []float64 {
+	c := make([]float64, svs.Dim)
+	for i := 0; i < svs.Len(); i++ {
+		for j, v := range svs.Row(i) {
+			c[j] += v
+		}
+	}
+	for j := range c {
+		c[j] /= float64(svs.Len())
+	}
+	return c
+}
+
+// ballRadius returns a radius r ≥ max‖xᵢ − c‖ over the rows of svs, widened
+// by assignSlack past the rounding of its own computation. Coordinates
+// large enough to overflow the centroid's sum leave it non-finite; every
+// centroid distance is then NaN or +Inf and never prunes.
+func ballRadius(svs dist.Matrix, c []float64) float64 {
+	d2 := make([]float64, svs.Len())
+	dist.SqDistsToAll(svs, c, d2)
+	var maxSq float64
+	for _, v := range d2 {
+		if v > maxSq {
+			maxSq = v
+		}
+	}
+	return math.Sqrt(maxSq) * (1 + assignSlack)
+}
+
+// scoreCut returns T such that a point whose every SV lies at computed
+// d² > T scores > 0 on this entry, so it cannot be inside the boundary.
+// With A = Σ max(αᵢ, 0), the score is ≥ bias − 2A·exp(−γ·min d²), and that
+// is > 0 once min d² > ln(2A/bias)/γ. The bias is first reduced by
+// assignSlack of itself and of 2Σ|αᵢ|, a margin that dwarfs the rounding of
+// the exp() sum, so the computed score is > 0 as well. T is 0 when 2A is
+// below the reduced bias, and +Inf (never skip) when that bias is ≤ 0 or
+// the cut is not a number.
+func scoreCut(alpha []float64, gamma, bias float64) float64 {
+	var pos, abs float64
+	for _, a := range alpha {
+		if a > 0 {
+			pos += a
+		}
+		abs += math.Abs(a)
+	}
+	margin := bias*(1-assignSlack) - 2*assignSlack*abs
+	if !(margin > 0) {
+		return math.Inf(1)
+	}
+	t := math.Log(2*pos/margin) / gamma
+	if math.IsNaN(t) {
+		return math.Inf(1)
+	}
+	return math.Max(t, 0)
 }
 
 // CheckAssignable validates up front that the points of d can be classified
@@ -220,6 +322,13 @@ func (m *Model) CheckAssignable(d *Dataset) error {
 // nearest retained support vector when that vector lies within ε, else
 // Noise.
 //
+// A point pays distances and exp() only for the snapshots that could
+// decide its label. A snapshot whose bounding ball of support vectors lies
+// farther from the point than both ε and the distance at which its score
+// provably stays positive is skipped whole; one whose support vectors all
+// lie beyond that distance skips its exp() sum. The labels are bit
+// identical to scoring every snapshot (see assignPlan).
+//
 // The batch fans across workers goroutines (0 selects all CPUs, 1 runs
 // sequentially) with deterministic range partitioning and per-point
 // independent work, so the labels are bit-identical for every worker count.
@@ -238,98 +347,119 @@ const assignCtxMask = 63
 // (64 points), the fan-out drains, and ctx's error is returned with nil
 // labels. No goroutines outlive the call.
 func (m *Model) AssignContext(ctx context.Context, d *Dataset, workers int) ([]int32, error) {
-	return m.assignContext(ctx, d, workers, (*assignPlan).assign)
+	labels, _, err := m.assignContext(ctx, d, workers, false)
+	return labels, err
 }
 
 // AssignNearestContext is the degraded assignment path: each point gets the
 // cluster of its nearest retained support vector when that vector lies
 // within ε, Noise otherwise — the fallback half of Assign alone, skipping
-// every SVDD boundary evaluation. One batched distance pass per point
-// remains, but the per-support-vector exp() work is gone, which is what the
-// serving daemon sheds under sustained overload. Labels agree with Assign
-// everywhere Assign itself falls back; points inside a boundary may differ.
+// every SVDD boundary evaluation. No exp() work remains, and only the
+// snapshots whose bounding ball reaches within ε of the point get a
+// distance pass; this is what the serving daemon sheds under sustained
+// overload. Labels agree with Assign everywhere Assign itself falls back;
+// points inside a boundary may differ.
 func (m *Model) AssignNearestContext(ctx context.Context, d *Dataset, workers int) ([]int32, error) {
-	return m.assignContext(ctx, d, workers, (*assignPlan).assignNearest)
+	labels, _, err := m.assignContext(ctx, d, workers, true)
+	return labels, err
 }
 
-func (m *Model) assignContext(ctx context.Context, d *Dataset, workers int, score func(*assignPlan, []float64, []float64) int32) ([]int32, error) {
+// assignContext runs the assign fan-out. Next to the labels it returns how
+// many (point, entry) pairs got a distance pass: the work the pruning left,
+// a deterministic function of the model and the points.
+func (m *Model) assignContext(ctx context.Context, d *Dataset, workers int, nearest bool) ([]int32, int64, error) {
 	if err := m.CheckAssignable(d); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	plan := m.assignPlan()
 	labels := make([]int32, d.Len())
 	mat := d.ds.Matrix()
 	var stop atomic.Bool
+	var scored atomic.Int64
 	engine.ForRanges(engine.ResolveWorkers(workers), d.Len(), nil, func(lo, hi int) {
 		fault.PanicNow(fault.AssignPanic)
-		d2 := make([]float64, plan.svs.Len())
+		d2 := make([]float64, plan.maxSVs)
+		n := 0
 		for i := lo; i < hi; i++ {
 			if (i-lo)&assignCtxMask == 0 && (stop.Load() || ctx.Err() != nil) {
 				stop.Store(true)
 				return
 			}
-			labels[i] = score(plan, mat.Row(i), d2)
+			var k int
+			labels[i], k = plan.score(mat.Row(i), d2, nearest)
+			n += k
 		}
+		scored.Add(int64(n))
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return labels, nil
+	return labels, scored.Load(), nil
 }
 
-// assign scores one point. d2 is the caller's scratch buffer for the squared
-// distances to every support vector (one batched pass serves all boundary
-// evaluations and the fallback).
-func (p *assignPlan) assign(q []float64, d2 []float64) int32 {
-	if len(d2) == 0 {
-		return Noise
-	}
-	dist.SqDistsToAll(p.svs, q, d2)
+// score labels one point and returns how many entries got a distance pass.
+// d2 is the caller's scratch, at least maxSVs long. With nearest set it is
+// the degraded path: the nearest-SV fallback alone, no boundary evaluation,
+// and entries are pruned on ε alone.
+//
+// Entries are visited in plan order, each SV's d² is bit for bit what one
+// pass over all SVs would give (rows are independent), and every score
+// that is computed is the full sum in SV order. So the lowest score, its
+// cluster-id tiebreak and the first nearest SV come out as if every entry
+// had been scored: a skipped entry scores > 0 and has no SV within ε (see
+// assignPlan), and no distance is NaN, since queries and SVs are finite.
+func (p *assignPlan) score(q, d2 []float64, nearest bool) (label int32, scored int) {
+	dim := p.svs.Dim
 	best := math.Inf(1)
 	bestCluster := cluster.Noise
-	for _, e := range p.entries {
-		var s float64
-		for i := e.lo; i < e.hi; i++ {
-			s += p.alpha[i] * math.Exp(-d2[i]*e.gamma)
-		}
-		score := e.bias - 2*s
-		if score < best || (score == best && e.cluster < bestCluster) {
-			best = score
-			bestCluster = e.cluster
+	ni, nd := -1, math.Inf(1)
+	var cd [centroidBlock]float64
+	for b := 0; b < len(p.entries); b += centroidBlock {
+		block := p.entries[b:min(b+centroidBlock, len(p.entries))]
+		dist.SqDistsToAll(dist.Matrix{Coords: p.centroids.Coords[b*dim : (b+len(block))*dim], Dim: dim}, q, cd[:len(block)])
+		for k := range block {
+			e := &block[k]
+			limit := e.far2
+			if nearest {
+				limit = e.nearFar2
+			}
+			if cd[k] > limit {
+				continue
+			}
+			scored++
+			rows := d2[:e.hi-e.lo]
+			dist.SqDistsToAll(dist.Matrix{Coords: p.svs.Coords[e.lo*dim : e.hi*dim], Dim: dim}, q, rows)
+			mn := math.Inf(1)
+			for j, v := range rows {
+				if v < nd {
+					ni, nd = e.lo+j, v
+				}
+				if v < mn {
+					mn = v
+				}
+			}
+			if nearest || mn > e.cut {
+				continue
+			}
+			var s float64
+			for j, a := range p.alpha[e.lo:e.hi] {
+				s += a * math.Exp(-rows[j]*e.gamma)
+			}
+			score := e.bias - 2*s
+			if score < best || (score == best && e.cluster < bestCluster) {
+				best = score
+				bestCluster = e.cluster
+			}
 		}
 	}
 	if best <= 0 {
-		return bestCluster
+		return bestCluster, scored
 	}
-	return p.nearestWithinEps(d2)
-}
-
-// assignNearest scores one point on the degraded path: the nearest-SV
-// fallback alone, no boundary evaluations. d2 is the caller's scratch buffer
-// as in assign.
-func (p *assignPlan) assignNearest(q []float64, d2 []float64) int32 {
-	if len(d2) == 0 {
-		return cluster.Noise
+	if ni >= 0 && nd <= p.eps2 {
+		return p.cluster[ni], scored
 	}
-	dist.SqDistsToAll(p.svs, q, d2)
-	return p.nearestWithinEps(d2)
-}
-
-// nearestWithinEps attaches to the cluster of the nearest support vector if
-// it is ε-close, mirroring how border points attach to core neighborhoods
-// during clustering; Noise otherwise. d2 must be non-empty.
-func (p *assignPlan) nearestWithinEps(d2 []float64) int32 {
-	ni, nd := 0, d2[0]
-	for i := 1; i < len(d2); i++ {
-		if d2[i] < nd {
-			ni, nd = i, d2[i]
-		}
-	}
-	if nd <= p.eps2 {
-		return p.cluster[ni]
-	}
-	return cluster.Noise
+	return cluster.Noise, scored
 }
